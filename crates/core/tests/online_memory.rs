@@ -2,8 +2,8 @@
 //! the allocation high-water mark of a long run must stay flat — the
 //! detector may not accumulate per-interval history proportional to run
 //! length. A counting global allocator approximates `VmHWM` portably
-//! (see [`fgbd_obsv::alloc`]); this file holds exactly one test because
-//! the gauge counts for the whole process.
+//! (see [`fgbd_obsv::alloc`]), measured through a thread-scoped window so
+//! nothing else running in the process can move the mark.
 
 use fgbd_core::online::{OnlineConfig, OnlineDetector};
 use fgbd_des::{SimDuration, SimTime};
@@ -92,8 +92,7 @@ fn detector() -> OnlineDetector {
 /// returns the allocation high-water mark (in bytes, relative to the
 /// point just before the detector was built) of the whole run.
 fn peak_of_run(ops: u64) -> u64 {
-    GLOBAL.reset_peak();
-    let base = GLOBAL.live_bytes();
+    let window = GLOBAL.window();
     let mut det = detector();
     let mut src = Ops::new();
     for i in 0..ops * 2 {
@@ -110,7 +109,7 @@ fn peak_of_run(ops: u64) -> u64 {
     assert!(fin.reports[0].matched > 0, "spans were paired");
     // Without retention the per-interval history must not be kept.
     assert!(fin.reports[0].loads.is_empty());
-    GLOBAL.peak_bytes().saturating_sub(base)
+    window.peak_bytes()
 }
 
 #[test]

@@ -38,7 +38,6 @@ pub mod ps;
 pub mod queue;
 pub mod rng;
 pub mod sim;
-pub mod sync;
 pub mod time;
 
 pub use parallel::{run_lockstep, Envelope, LockstepConfig, LockstepReport, NoMsg, ShardActor};

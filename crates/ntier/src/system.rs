@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 
 use fgbd_des::{Actor, Dice, JobId, PsIntegrator, Scheduler, SimDuration, SimTime, Simulation};
 use fgbd_trace::{
-    ClassId, ConnId, MsgKind, MsgRecord, NodeId, NodeKind, NodeMeta, StreamSink, TraceLog, TxnId,
+    ClassId, ConnId, MsgKind, MsgRecord, NodeId, NodeKind, NodeMeta, TraceLog, TxnId,
 };
 
 use crate::arena::Slab;
@@ -342,13 +342,10 @@ pub struct NTierSystem {
     burst_factor: f64,
     next_txn: u64,
     log: TraceLog,
-    /// When set, capture records stream through this sink instead of
-    /// accumulating in `log` (see [`NTierSystem::run_with_tap`]); the
-    /// returned [`RunResult::log`] then stays empty.
-    tap: Option<StreamSink>,
-    /// Like `tap`, but an arbitrary callback (see
-    /// [`NTierSystem::run_with_record_tap`]) — the hook the chunked capture
-    /// writer uses to spill records to disk without materializing a log.
+    /// When set, capture records go to this callback instead of
+    /// accumulating in `log` (see [`NTierSystem::run_with_record_tap`]) —
+    /// the hook the chunked capture writer uses to spill records to disk
+    /// without materializing a log.
     record_tap: Option<Box<dyn FnMut(MsgRecord) + Send>>,
     txns: Vec<TxnSample>,
     gc_events: Vec<GcEvent>,
@@ -484,7 +481,6 @@ impl NTierSystem {
             burst_factor: 1.0,
             next_txn: 0,
             log: TraceLog::new(nodes),
-            tap: None,
             record_tap: None,
             txns: Vec::new(),
             gc_events: Vec::new(),
@@ -508,28 +504,12 @@ impl NTierSystem {
         sim.into_actor().into_result(horizon)
     }
 
-    /// Like [`NTierSystem::run`], but capture records are streamed through
-    /// `sink` as they happen instead of being materialized in
-    /// [`RunResult::log`] (which comes back empty). The sink is dropped —
-    /// ending the stream — before this returns, so the caller can join
-    /// the consuming `fgbd_trace::SpanStream` immediately afterwards.
-    pub fn run_with_tap(cfg: SystemConfig, sink: StreamSink) -> RunResult {
-        let horizon = SimTime::ZERO + cfg.warmup + cfg.duration;
-        let mut system = NTierSystem::new(cfg);
-        system.tap = Some(sink);
-        let mut sim = Simulation::new(system);
-        sim.prime(SimTime::ZERO, Ev::Boot);
-        sim.run_until(horizon);
-        sim.into_actor().into_result(horizon)
-    }
-
     /// Like [`NTierSystem::run`], but every capture record is handed to
     /// `tap` instead of being materialized in [`RunResult::log`] (which
-    /// comes back empty). Unlike [`NTierSystem::run_with_tap`] the callback
-    /// runs inline on the simulation thread — it is the hook for writers
-    /// that must observe records in strict capture order with no channel in
-    /// between, e.g. the chunked capture writer spilling a million-user run
-    /// to disk in flat memory.
+    /// comes back empty). The callback runs inline on the simulation
+    /// thread — it is the hook for writers that must observe records in
+    /// strict capture order, e.g. the chunked capture writer spilling a
+    /// million-user run to disk in flat memory.
     pub fn run_with_record_tap(
         cfg: SystemConfig,
         tap: impl FnMut(MsgRecord) + Send + 'static,
@@ -545,9 +525,8 @@ impl NTierSystem {
 
     /// Finalizes the run outputs.
     pub fn into_result(mut self, horizon: SimTime) -> RunResult {
-        // End the record stream first: the tap's drop flushes its last
-        // partial chunk and closes the channel.
-        self.tap = None;
+        // End the record stream first: dropping the tap lets a writer it
+        // owns flush its last partial chunk.
         self.record_tap = None;
         // Completion-token accounting, accumulated in plain per-server
         // fields (the event loop is too hot for per-op atomics) and flushed
@@ -737,10 +716,9 @@ impl NTierSystem {
                 bytes,
                 truth: Some(TxnId(txn)),
             };
-            match (&mut self.tap, &mut self.record_tap) {
-                (Some(tap), _) => tap.push(rec),
-                (None, Some(f)) => f(rec),
-                (None, None) => self.log.push(rec),
+            match &mut self.record_tap {
+                Some(f) => f(rec),
+                None => self.log.push(rec),
             }
         }
     }

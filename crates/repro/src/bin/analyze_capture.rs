@@ -8,30 +8,34 @@
 //!     capture.fgbdcap [interval_ms] [--follow] [--verdicts out.jsonl] [--quiet]
 //! ```
 //!
-//! Two engines produce the (byte-identical) report:
+//! The capture format alone picks the engine; there is one per format:
 //!
-//! * **batch** (default): the capture is materialized as a `TraceLog`,
-//!   spans are extracted, and each server runs the batch detector;
-//! * **zero-copy** (`FGBD_CAPTURE_MMAP=1`, `FGBDCAP2` captures): the file
-//!   is memory-mapped and a lazy chunk cursor streams projected columns
-//!   straight into the online detector — peak memory stays flat no matter
-//!   how large the capture is (see [`fgbd_repro::zerocopy`]).
+//! * **`FGBDCAP2`** (chunked columnar): zero-copy — the file is
+//!   memory-mapped (heap-read if mapping fails) and a lazy chunk cursor
+//!   streams projected columns straight into the online detector, so peak
+//!   memory stays flat no matter how large the capture is (see
+//!   [`fgbd_repro::zerocopy`]);
+//! * **`FGBDCAP1`** (flat): batch — the capture is materialized as a
+//!   `TraceLog`, spans are extracted, and each server runs the batch
+//!   detector. This is also the reference the zero-copy engine is tested
+//!   against.
 //!
 //! Both engines calibrate service times over the same bounded record
-//! prefix (`FGBD_CALIB_RECORDS`, default 1 Mi), so their verdicts agree
-//! byte for byte — CI diffs them.
+//! prefix (`FGBD_CALIB_RECORDS`, default 1 Mi), so a capture recorded in
+//! both formats yields byte-identical reports — CI diffs them.
 //!
 //! `--follow` tails a capture that is **still being written** (a growing
 //! file, or a FIFO fed by a live writer): whole chunks are decoded as
 //! their bytes land and pushed through the streaming monitor pipeline
 //! ([`fgbd_repro::monitor`]), printing provisional onset/clear verdicts
 //! incrementally; once the writer's footer appears (or the
-//! `FGBD_FOLLOW_IDLE_MS` budget runs dry) the standard analysis runs over
-//! the complete capture — zero-copy over the now-sealed file when
-//! `FGBD_CAPTURE_MMAP=1`, batch otherwise. `--verdicts PATH` additionally
-//! writes the final congested-interval verdicts as JSON lines —
-//! byte-identical whether the capture was read batch, tailed, or
-//! memory-mapped, which CI exploits.
+//! `FGBD_FOLLOW_IDLE_MS` budget runs dry) the format's engine runs over
+//! the complete capture. `--verdicts PATH` additionally writes the final
+//! congested-interval verdicts as JSON lines — byte-identical whether the
+//! capture was read once or tailed, which CI exploits.
+//!
+//! A corrupt or truncated capture exits with status 1 and the reader's
+//! error (chunk-attributed for `FGBDCAP2`) on stderr.
 //!
 //! A run manifest is written to `out/manifests/analyze_capture.*`.
 
@@ -50,12 +54,11 @@ use fgbd_repro::harness::RunScope;
 use fgbd_repro::monitor::{verdict_lines, MonitorConfig, MonitorRuntime};
 use fgbd_repro::pipeline::{calib_records_from_env, Calibration, WORK_UNIT_RESOLUTION};
 use fgbd_repro::zerocopy::{analyze_capture2_zero_copy, is_capture2};
-use fgbd_trace::capture2::threads_from_env;
-use fgbd_trace::mmapio::mmap_from_env;
+use fgbd_trace::capture2::default_threads;
 use fgbd_trace::servicetime::ServiceTimeTable;
 use fgbd_trace::{
-    read_capture_file, read_capture_tapped, wait_for_file, CaptureChunks, NodeId, NodeKind,
-    SpanSet, SpanStream, StreamConfig, TailConfig, TailReader, TraceLog,
+    read_capture_file, wait_for_file, CaptureChunks, CaptureError, NodeId, NodeKind, SpanSet,
+    TailConfig, TailReader, TraceLog,
 };
 
 /// One rendered table row plus the series the verdict stream needs —
@@ -118,40 +121,11 @@ fn main() {
     scope.field("follow", Json::Bool(follow));
     let _root = fgbd_obsv::span::enter("analyze_capture");
 
-    // Pick the engine. `--follow` tails first (live provisional verdicts),
-    // then analyzes the sealed file; a materialized log from the tail is
-    // reused by the batch engine, while under FGBD_CAPTURE_MMAP the tail
-    // skips materializing entirely and the zero-copy engine re-reads the
-    // (now complete) file through the chunk cursor.
-    let out = if follow {
-        match tail_capture(Path::new(path), interval_ms) {
-            Some(log) => analyze_batch(log, interval),
-            None => analyze_zero_copy(Path::new(path), interval),
-        }
-    } else if mmap_from_env() && is_capture2(Path::new(path)) {
-        analyze_zero_copy(Path::new(path), interval)
-    } else {
-        // Streaming front-end: overlap file decode with online span
-        // extraction. The batch fallback (FGBD_STREAM=0) decodes first —
-        // fanning chunked captures across FGBD_CAPTURE_THREADS workers —
-        // and extracts afterwards. Bit-identical spans either way.
-        match StreamConfig::from_env() {
-            Some(stream_cfg) => {
-                let file = File::open(path).expect("open capture file");
-                let (stream, mut sink) = SpanStream::start(&stream_cfg);
-                let log = read_capture_tapped(BufReader::new(file), |rec| sink.push(rec))
-                    .expect("parse capture");
-                drop(sink);
-                let spans = {
-                    fgbd_obsv::span!("stream_extract");
-                    stream.finish()
-                };
-                analyze_batch_with_spans(log, spans, interval)
-            }
-            None => {
-                let log = read_capture_file(Path::new(path)).expect("parse capture");
-                analyze_batch(log, interval)
-            }
+    let out = match analyze(Path::new(path), interval, interval_ms, follow) {
+        Ok(out) => out,
+        Err(e) => {
+            eprintln!("analyze_capture: {path}: {e}");
+            std::process::exit(1);
         }
     };
 
@@ -183,20 +157,35 @@ fn main() {
     scope.finish();
 }
 
-/// Batch engine: extract spans, then analyze.
-fn analyze_batch(log: TraceLog, interval: SimDuration) -> AnalysisOutput {
-    let spans = SpanSet::extract(&log);
-    analyze_batch_with_spans(log, spans, interval)
+/// Runs the engine the input's format selects. `--follow` tails first
+/// (live provisional verdicts), then analyzes the sealed file: a flat
+/// capture's log is materialized by the tail and reused by the batch
+/// engine, while a chunked capture is re-read through the zero-copy
+/// cursor (the tail keeps nothing).
+fn analyze(
+    path: &Path,
+    interval: SimDuration,
+    interval_ms: u64,
+    follow: bool,
+) -> Result<AnalysisOutput, CaptureError> {
+    let log = if follow {
+        tail_capture(path, interval_ms)?
+    } else if is_capture2(path) {
+        None
+    } else {
+        Some(read_capture_file(path)?)
+    };
+    match log {
+        Some(log) => Ok(analyze_batch(log, interval)),
+        None => analyze_zero_copy(path, interval),
+    }
 }
 
-/// Batch engine body — service-time calibration over the bounded record
-/// prefix (the same prefix the zero-copy engine uses, so the two agree),
-/// then one batch detector per server, fanned across cores.
-fn analyze_batch_with_spans(
-    log: TraceLog,
-    spans: SpanSet,
-    interval: SimDuration,
-) -> AnalysisOutput {
+/// Batch engine: extract spans, calibrate service times over the bounded
+/// record prefix (the same prefix the zero-copy engine uses, so the two
+/// agree), then one batch detector per server, fanned across cores.
+fn analyze_batch(log: TraceLog, interval: SimDuration) -> AnalysisOutput {
+    let spans = SpanSet::extract(&log);
     let records = log.records.len() as u64;
     let Some(end) = log.records.last().map(|r| r.at) else {
         return AnalysisOutput {
@@ -261,8 +250,8 @@ fn analyze_batch_with_spans(
 /// Zero-copy engine: mmap + lazy projected chunk decode through the
 /// online detector (see [`fgbd_repro::zerocopy`]). The reports are
 /// bit-identical to the batch engine's.
-fn analyze_zero_copy(path: &Path, interval: SimDuration) -> AnalysisOutput {
-    let za = analyze_capture2_zero_copy(path, interval, threads_from_env()).expect("parse capture");
+fn analyze_zero_copy(path: &Path, interval: SimDuration) -> Result<AnalysisOutput, CaptureError> {
+    let za = analyze_capture2_zero_copy(path, interval, default_threads())?;
     let views = za
         .reports
         .into_iter()
@@ -279,12 +268,12 @@ fn analyze_zero_copy(path: &Path, interval: SimDuration) -> AnalysisOutput {
             states: rep.states,
         })
         .collect();
-    AnalysisOutput {
+    Ok(AnalysisOutput {
         nodes: za.nodes.len(),
         records: za.records,
         bounds: (za.records > 0).then_some((za.start, za.end)),
         views,
-    }
+    })
 }
 
 /// The shared report renderer: table, ranking, verdict stream. One code
@@ -388,11 +377,11 @@ fn render_report(
 /// (capped at one work unit) and servers are labeled `server-<id>`; the
 /// analysis afterwards is calibrated and authoritative.
 ///
-/// Returns the materialized log for the batch engine, or `None` under
-/// `FGBD_CAPTURE_MMAP=1` with an `FGBDCAP2` capture — the records are
-/// then *not* retained (tailing stays flat-memory) and the caller runs
-/// the zero-copy engine over the sealed file instead.
-fn tail_capture(path: &Path, interval_ms: u64) -> Option<TraceLog> {
+/// Returns the materialized log of a flat `FGBDCAP1` capture for the
+/// batch engine, or `None` for an `FGBDCAP2` capture — its records are
+/// then *not* retained (tailing stays flat-memory) and the caller runs the
+/// zero-copy engine over the sealed file instead.
+fn tail_capture(path: &Path, interval_ms: u64) -> Result<Option<TraceLog>, CaptureError> {
     let tcfg = TailConfig::from_env();
     if !wait_for_file(path, tcfg) {
         eprintln!(
@@ -418,23 +407,22 @@ fn tail_capture(path: &Path, interval_ms: u64) -> Option<TraceLog> {
         tcfg.poll,
         tcfg.idle
     );
-    // The file exists by now, so the magic probe is reliable; a flat
-    // FGBDCAP1 capture always materializes (the cursor only reads v2).
-    let materialize = !(mmap_from_env() && is_capture2(path));
-    let file = File::open(path).expect("open capture file");
+    let file = File::open(path)?;
     let log = {
         fgbd_obsv::span!("tail_capture");
-        let mut chunks = CaptureChunks::open(BufReader::new(TailReader::new(file, tcfg)))
-            .expect("parse capture");
-        let mut log = TraceLog::new(chunks.nodes().to_vec());
+        let mut chunks = CaptureChunks::open(BufReader::new(TailReader::new(file, tcfg)))?;
+        // The header has been read, so the magic probe is reliable; only a
+        // flat capture materializes (the cursor only reads v2).
+        let materialize = !is_capture2(path);
+        let mut log = materialize.then(|| TraceLog::new(chunks.nodes().to_vec()));
         let mut end = SimTime::ZERO;
         for chunk in &mut chunks {
-            let chunk = chunk.expect("parse capture");
+            let chunk = chunk?;
             let _ = mon.push_chunk(&chunk);
             if let Some(last) = chunk.last() {
                 end = last.at;
             }
-            if materialize {
+            if let Some(log) = &mut log {
                 log.records.extend(chunk);
             }
         }
@@ -443,5 +431,5 @@ fn tail_capture(path: &Path, interval_ms: u64) -> Option<TraceLog> {
         }
         log
     };
-    materialize.then_some(log)
+    Ok(log)
 }

@@ -8,10 +8,10 @@
 //! ```
 //!
 //! Repeatable `--require-counter NAME` flags additionally assert that the
-//! manifest's counter snapshot contains `NAME` — CI uses this to pin the
-//! streaming pipeline's observability contract (`trace.stream_chunks`
-//! must be present, and `trace.stream_stalls` must be *reported* even
-//! when zero, which is what the retained-counter mechanism guarantees).
+//! manifest's counter snapshot contains `NAME` — CI uses this to pin
+//! retained counters, which must be *reported* even when zero (e.g. the
+//! simulator's `des.cpu_done_stale` / `des.cpu_done_reuse`, the sharded
+//! simulator's `des.sync_barriers`, the monitor's `monitor.verdicts`).
 //!
 //! Exits 0 and prints a one-line summary when the manifest is valid;
 //! exits non-zero with the violation otherwise. This is the one

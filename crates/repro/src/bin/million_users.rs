@@ -34,7 +34,7 @@ use fgbd_obsv::metrics::vm_hwm_kib;
 use fgbd_repro::report::out_dir;
 use fgbd_repro::scenario::MASTER_SEED;
 use fgbd_repro::zerocopy::analyze_capture2_zero_copy;
-use fgbd_trace::capture2::threads_from_env;
+use fgbd_trace::capture2::default_threads;
 use fgbd_trace::ChunkedWriter;
 
 fn main() {
@@ -129,7 +129,7 @@ fn main() {
         analyze_capture2_zero_copy(
             Path::new(&path),
             SimDuration::from_millis(50),
-            threads_from_env(),
+            default_threads(),
         )
         .expect("analyze capture")
     };

@@ -20,9 +20,11 @@
 //!   run writes a `fgbd.run-manifest/v1` document under `out/manifests/`.
 //! * [`plot`] / [`report`] — terminal rendering and CSV/summary output under
 //!   `target/experiments/`.
-//! * [`zerocopy`] — the mmap-backed capture analysis path
-//!   (`FGBD_CAPTURE_MMAP=1`): lazy projected chunk decode streamed straight
-//!   into the online detector, peak memory independent of capture size.
+//! * [`zerocopy`] — the `FGBDCAP2` analysis engine: the capture is
+//!   memory-mapped and decoded lazily, chunk by chunk and column-projected,
+//!   straight into the online detector, so peak memory is independent of
+//!   capture size. Flat `FGBDCAP1` captures take the batch
+//!   [`pipeline`], which doubles as the zero-copy engine's test oracle.
 //!
 //! Run a single figure:
 //!

@@ -64,8 +64,8 @@ impl Calibration {
     }
 
     /// Like [`Calibration::from_run`] but with spans the caller already
-    /// extracted (e.g. by the streaming front-end while the capture was
-    /// being decoded), so they are not extracted a second time.
+    /// extracted (e.g. `compare_captures`, which needs the spans itself),
+    /// so they are not extracted a second time.
     pub fn from_run_with_spans(run: &RunResult, spans: &SpanSet) -> Calibration {
         fgbd_obsv::span!("calibrate");
         Calibration::build(run, spans)
@@ -181,11 +181,10 @@ impl Analysis {
         Analysis { run, spans, cal }
     }
 
-    /// Wraps a run whose spans were already extracted online by the
-    /// streaming front-end ([`Scenario::run_streamed`]), so the run's log
-    /// may legitimately be empty.
+    /// Wraps a run whose spans were already extracted (see
+    /// [`Scenario::run_with_spans`]).
     ///
-    /// [`Scenario::run_streamed`]: crate::scenario::Scenario::run_streamed
+    /// [`Scenario::run_with_spans`]: crate::scenario::Scenario::run_with_spans
     pub fn with_spans(run: RunResult, spans: SpanSet, cal: Calibration) -> Analysis {
         Analysis { run, spans, cal }
     }

@@ -1,13 +1,11 @@
 //! Named experimental scenarios matching the paper's two case studies.
 
-use std::sync::{Arc, Mutex};
-
 use fgbd_des::{SimDuration, SimTime};
 use fgbd_ntier::config::{Jdk, SystemConfig};
 use fgbd_ntier::result::RunResult;
 use fgbd_ntier::shard::{run_sharded, ShardPlan};
 use fgbd_ntier::system::NTierSystem;
-use fgbd_trace::{SpanSet, SpanStream, StreamConfig};
+use fgbd_trace::SpanSet;
 
 use crate::monitor::{MonitorConfig, MonitorRuntime};
 
@@ -84,82 +82,16 @@ impl Scenario {
         simulate(self.config(users))
     }
 
-    /// Runs the scenario with the capture streamed straight into the
-    /// online span extractor (`fgbd_trace::stream`): the DES publishes
-    /// record chunks through a bounded channel while consumer threads
-    /// pair spans concurrently, so span extraction overlaps the
-    /// simulation instead of running after it. The residual merge wait is
-    /// visible as the `stream_extract` manifest stage.
-    ///
-    /// Falls back to the batch path — materialize the log, then
-    /// [`SpanSet::extract`] — when streaming is switched off
-    /// (`FGBD_STREAM=0` or `FGBD_STREAM_SHARDS=0`), or when it isn't
-    /// explicitly configured and the default shard count would be below
-    /// two: at one or two extraction shards the hand-off overhead loses
-    /// to the batch extractor, so [`StreamConfig::from_env_auto`] only
-    /// opts in when streaming can actually win. The spans are
-    /// bit-identical either way; in streamed mode the returned run's
-    /// `log` comes back empty (the records were consumed online).
-    ///
-    /// A sharded simulation (`FGBD_SIM_SHARDS ≥ 2`) takes precedence
-    /// over the streaming tap: the pods materialize per-pod logs that
-    /// are merged (the `sim_merge` stage), and spans come from the batch
-    /// extractor over the merged capture.
-    /// With `FGBD_MONITOR=1` a live monitor rides along on every branch:
-    /// in streamed mode the record tap tees each record into the monitor
-    /// *and* the span-extraction sink as it happens; in the batch and
-    /// sharded fallbacks the materialized log is replayed through the
-    /// monitor after the run (same verdicts, no detection-latency win).
-    /// See [`crate::monitor`] for the telemetry surface and the
-    /// `FGBD_MONITOR_*` knobs.
-    pub fn run_streamed(&self, users: u32) -> (RunResult, SpanSet) {
-        if ShardPlan::from_env().is_some() {
-            let run = self.run(users);
-            let spans = SpanSet::extract(&run.log);
-            self.monitor_replay(users, &run);
-            return (run, spans);
-        }
-        match StreamConfig::from_env_auto() {
-            Some(cfg) => {
-                let (stream, mut sink) = SpanStream::start(&cfg);
-                let monitor = self.live_monitor(users).map(Mutex::new).map(Arc::new);
-                let run = {
-                    fgbd_obsv::span!("simulate");
-                    fgbd_obsv::counter!("scenario.runs", self.name, 1);
-                    match monitor.as_ref().map(Arc::clone) {
-                        // The monitor tee must use the inline record tap:
-                        // a `StreamSink` tap takes dispatch precedence, so
-                        // one closure feeds both. The DES delivers records
-                        // single-threaded — the mutex is uncontended.
-                        Some(tap) => {
-                            NTierSystem::run_with_record_tap(self.config(users), move |rec| {
-                                let _ = tap.lock().unwrap().push(&rec);
-                                sink.push(rec);
-                            })
-                        }
-                        None => NTierSystem::run_with_tap(self.config(users), sink),
-                    }
-                };
-                let spans = {
-                    fgbd_obsv::span!("stream_extract");
-                    stream.finish()
-                };
-                if let Some(mon) = monitor {
-                    let mon = Arc::try_unwrap(mon)
-                        .expect("record tap released")
-                        .into_inner()
-                        .unwrap();
-                    Self::monitor_finish(mon, &run);
-                }
-                (run, spans)
-            }
-            None => {
-                let run = self.run(users);
-                let spans = SpanSet::extract(&run.log);
-                self.monitor_replay(users, &run);
-                (run, spans)
-            }
-        }
+    /// Runs the scenario and extracts its request spans with the batch
+    /// extractor ([`SpanSet::extract`]). With `FGBD_MONITOR=1` the
+    /// materialized capture is then replayed through a live monitor (see
+    /// [`crate::monitor`] for the telemetry surface and the
+    /// `FGBD_MONITOR_*` knobs).
+    pub fn run_with_spans(&self, users: u32) -> (RunResult, SpanSet) {
+        let run = self.run(users);
+        let spans = SpanSet::extract(&run.log);
+        self.monitor_replay(users, &run);
+        (run, spans)
     }
 
     /// Builds the opt-in live monitor for a run of this scenario
@@ -181,8 +113,8 @@ impl Scenario {
         }
     }
 
-    /// Batch/sharded fallback: replays the materialized capture through
-    /// the monitor after the run.
+    /// Replays the materialized capture through the monitor after the
+    /// run.
     fn monitor_replay(&self, users: u32, run: &RunResult) {
         if run.log.records.is_empty() {
             return;

@@ -1,10 +1,12 @@
 //! Zero-copy capture analysis: the `FGBDCAP2` → verdict pipeline with peak
 //! memory independent of capture size.
 //!
-//! The batch path of `analyze_capture` materializes the whole capture as a
-//! `TraceLog`, extracts every span, and runs the batch detector — simple,
-//! but memory grows with the capture. This module is the same analysis
-//! restructured over the PR 7/PR 8 streaming machinery:
+//! The batch engine of `analyze_capture` (the `FGBDCAP1` engine and the
+//! test oracle) materializes the whole capture as a `TraceLog`, extracts
+//! every span, and runs the batch detector — simple, but memory grows with
+//! the capture. This module is the same analysis restructured over the
+//! chunk cursor and the online detector, and it is `analyze_capture`'s
+//! engine for every `FGBDCAP2` capture:
 //!
 //! 1. the capture file is memory-mapped ([`fgbd_trace::mmapio`]) — no heap
 //!    copy of the bytes, and consumed pages are released as the scan
@@ -13,19 +15,15 @@
 //!    columns detection never reads (`bytes`, ground truth — see
 //!    [`Projection::DETECT`]);
 //! 3. each chunk feeds the [`OnlineDetector`] directly — no intermediate
-//!    `TraceLog`, no materialized `SpanSet`; the PR 8 equivalence guarantee
-//!    makes the final reports bit-identical to the batch
-//!    `analyze_server` output.
+//!    `TraceLog`, no materialized `SpanSet`; the online detector's
+//!    equivalence guarantee makes the final reports bit-identical to the
+//!    batch `analyze_server` output.
 //!
 //! Service-time self-calibration still needs random access over records,
 //! so it runs over a bounded prefix
 //! ([`crate::pipeline::calib_records_from_env`], default 1 Mi records) that
 //! the batch path applies identically — calibration is the one stage whose
 //! memory is bounded by the budget rather than by a single chunk.
-//!
-//! Gated by `FGBD_CAPTURE_MMAP=1` in `analyze_capture`; `FGBD_CAPTURE_PROJECT=0`
-//! forces full-column decode on this path (for A/B timing and CI
-//! equivalence checks).
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -38,20 +36,9 @@ use fgbd_trace::{CaptureError, MsgRecord, NodeKind, NodeMeta, Projection};
 
 use crate::pipeline::{calib_records_from_env, Calibration, WORK_UNIT_RESOLUTION};
 
-/// Column projection for the detection pass: [`Projection::DETECT`] unless
-/// `FGBD_CAPTURE_PROJECT` is `0`/`false`/`off`, which forces the full
-/// decode (identical analysis output, more decode work — the reference
-/// the projection win is measured against).
-pub fn projection_from_env() -> Projection {
-    match std::env::var("FGBD_CAPTURE_PROJECT").ok().as_deref() {
-        Some("0") | Some("false") | Some("off") => Projection::ALL,
-        _ => Projection::DETECT,
-    }
-}
-
 /// Does `path` start with the `FGBDCAP2` magic? The chunk cursor only
-/// reads the chunked format; flat `FGBDCAP1` captures keep the batch
-/// reader even under `FGBD_CAPTURE_MMAP=1`.
+/// reads the chunked format; flat `FGBDCAP1` captures take the batch
+/// reader.
 pub fn is_capture2(path: &Path) -> bool {
     use std::io::Read;
     let mut magic = [0u8; 8];
@@ -140,7 +127,7 @@ pub fn analyze_capture2_zero_copy(
         det.set_work_unit(node, wu);
     }
     let mut cursor = ChunkCursor::new(&map)?
-        .with_projection(projection_from_env())
+        .with_projection(Projection::DETECT)
         .with_threads(threads);
     {
         fgbd_obsv::span!("zero_copy_detect");

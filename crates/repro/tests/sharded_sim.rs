@@ -62,13 +62,13 @@ fn sim_shards_env_gates_the_parallel_simulator() {
     );
     assert_same_result(&fleet_serial, &direct);
 
-    // Sharding takes precedence over the streaming tap: `run_streamed`
-    // materializes the merged capture and extracts spans in batch, and
-    // the spans still account for every completed visit.
-    let (run, spans) = SPEEDSTEP_OFF.run_streamed(40);
+    // A sharded `run_with_spans` materializes the merged capture and
+    // extracts spans in batch, and the spans still account for every
+    // completed visit.
+    let (run, spans) = SPEEDSTEP_OFF.run_with_spans(40);
     assert!(
         !run.log.records.is_empty(),
-        "sharded run_streamed must materialize the merged log"
+        "sharded run_with_spans must materialize the merged log"
     );
     assert!(!spans.is_empty());
     for (i, info) in run.servers.iter().enumerate() {

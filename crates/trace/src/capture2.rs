@@ -91,20 +91,15 @@ pub fn format_from_env() -> u32 {
     }
 }
 
-/// Decode threads selected by `FGBD_CAPTURE_THREADS`, defaulting to
-/// `min(4, available_parallelism)`. The decoded log is identical at every
-/// value; this only trades wall-clock for cores.
-pub fn threads_from_env() -> usize {
-    std::env::var("FGBD_CAPTURE_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(usize::from)
-                .unwrap_or(1)
-                .min(4)
-        })
+/// Decode threads for whole-capture reads: `min(4, available_parallelism)`.
+/// The decoded log is identical at every thread count; callers that need
+/// a fixed width pass it to [`read_capture2_parallel`] or
+/// [`ChunkCursor::with_threads`] directly.
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(usize::from)
+        .unwrap_or(1)
+        .min(4)
 }
 
 /// Records per chunk selected by `FGBD_CAPTURE_CHUNK` (writer-side only;
@@ -883,36 +878,25 @@ fn read_stream_footer<R: Read>(r: &mut R, chunks_seen: u32) -> Result<(), Captur
     Ok(())
 }
 
-/// Sequential `FGBDCAP2` reader for streams: decodes chunk by chunk,
-/// forwarding every record to `tap` in capture order. Called by
-/// [`crate::capture::read_capture_tapped`] once it has sniffed [`MAGIC2`]
-/// (so `r` is positioned just past the magic).
+/// Sequential `FGBDCAP2` reader for streams: decodes chunk by chunk in
+/// capture order. Called by [`crate::capture::read_capture`] once it has
+/// sniffed [`MAGIC2`] (so `r` is positioned just past the magic).
 ///
 /// # Errors
 ///
 /// Returns [`CaptureError::Chunk`] naming the failing chunk for per-chunk
 /// damage and [`CaptureError::Malformed`] for structural damage (missing
 /// footer, truncation between chunks).
-pub fn read_capture2_tapped_after_magic<R: Read>(
-    mut r: R,
-    mut tap: impl FnMut(MsgRecord),
-) -> Result<TraceLog, CaptureError> {
+pub(crate) fn read_capture2_after_magic<R: Read>(mut r: R) -> Result<TraceLog, CaptureError> {
     let nodes = read_node_table(&mut r)?;
     let mut log = TraceLog::new(nodes);
     let mut chunk = 0u32;
     let mut prev_max = 0u64;
-    loop {
-        let start = log.records.len();
-        if read_stream_chunk(&mut r, chunk, &mut prev_max, &mut log.records)? {
-            for &rec in &log.records[start..] {
-                tap(rec);
-            }
-            chunk += 1;
-        } else {
-            read_stream_footer(&mut r, chunk)?;
-            return Ok(log);
-        }
+    while read_stream_chunk(&mut r, chunk, &mut prev_max, &mut log.records)? {
+        chunk += 1;
     }
+    read_stream_footer(&mut r, chunk)?;
+    Ok(log)
 }
 
 // --- random-access readers (slice-based: fs::read or mmap both fit) ----------
@@ -1024,9 +1008,7 @@ fn decode_indexed_chunk_projected(
 /// spawns and per-chunk reassembly copies are pure overhead on top of a
 /// serialized decode, which showed up as `chunked_read_*_t4` benching
 /// *slower* than `_t1` on a single-core box. Fall back to the in-place
-/// sequential decode there (the same reasoning as the streaming tap's zero
-/// spin budget on single-core hosts); the decoded bytes are identical
-/// either way.
+/// sequential decode there; the decoded bytes are identical either way.
 fn effective_decode_threads(requested: usize, host_cores: usize) -> usize {
     if host_cores < 2 {
         1

@@ -5,7 +5,6 @@
 # and `extract_spans` (dense fast paths vs references) and `pipeline`
 # (end-to-end simulate → reconstruct → calibrate → detect) groups, plus
 # the `event_queue` hold-model bench (timing wheel vs reference heap), the
-# `streaming_pipeline` bench (batch vs sharded online extraction), the
 # `parallel_sim` bench (sequential reference vs population-sharded lockstep
 # fleets across worker counts), the `capture_format/chunked_*` benches
 # (FGBDCAP2 columnar write + 1/4-thread parallel read vs the flat FGBDCAP1
@@ -19,10 +18,13 @@
 # chunk cursor vs the batch FGBDCAP2 reader: full vs projected column
 # decode, time-range chunk pruning, and the mmap-backed pass).
 #
-# If any run manifests exist under out/manifests/ (written by the
-# fgbd-repro binaries, see crates/obsv), the newest one's per-stage wall
-# times are folded in as "manifest:<run>/<span path>": total_ns keys, so
-# one file tracks both microbenchmark medians and real-run stage costs.
+# Every run manifest under out/manifests/ (written by the fgbd-repro
+# binaries, see crates/obsv) has its per-stage wall times folded in as
+# "manifest:<run>/<span path>": total_ns keys, so one file tracks both
+# microbenchmark medians and real-run stage costs. Each run name keeps its
+# own baseline: a manifest replaces only its run's keys, and runs with no
+# fresh manifest keep their committed ones. Record a baseline by running
+# the binary (e.g. ext_autointerval, million_users) and then this script.
 #
 #   scripts/bench.sh            # bench + summarize
 #   scripts/bench.sh --no-run   # summarize an existing target/criterion
@@ -32,7 +34,6 @@ cd "$(dirname "$0")/.."
 if [ "$1" != "--no-run" ]; then
     cargo bench -p fgbd-bench --bench analysis
     cargo bench -p fgbd-bench --bench event_queue
-    cargo bench -p fgbd-bench --bench streaming
     cargo bench -p fgbd-bench --bench parallel_sim
     cargo bench -p fgbd-bench --bench online_detect
     cargo bench -p fgbd-bench --bench ps_integrator
@@ -67,30 +68,30 @@ for root in roots:
             est = json.load(f)
         out[bench_id] = est["median"]["point_estimate"]
 
-# Fold in the newest run manifest's per-stage wall times, if any exist.
-# Stages come from the span tree (crates/obsv), so the keys mirror the
-# collapsed-stack paths: "manifest:fig06/pipeline;detect". Every
-# "manifest:" key from previous summaries is dropped first: those values
-# are machine-local single-run timings, so carrying stale ones forward
-# would mix runs and accumulate keys for renamed/removed stages.
+# Fold in every run manifest's per-stage wall times. Stages come from the
+# span tree (crates/obsv), so the keys mirror the collapsed-stack paths:
+# "manifest:fig06/pipeline;detect". Each manifest first drops every
+# committed key of its own run: those values are machine-local single-run
+# timings, so carrying stale ones forward would mix runs and accumulate
+# keys for renamed/removed stages. Other runs' baselines are untouched.
 manifest_dir = "out/manifests"
 if os.path.isdir(manifest_dir):
-    manifests = [os.path.join(manifest_dir, n)
-                 for n in os.listdir(manifest_dir) if n.endswith(".json")]
-    if manifests:
-        newest = max(manifests, key=os.path.getmtime)
-        with open(newest) as f:
+    for name in sorted(os.listdir(manifest_dir)):
+        if not name.endswith(".json"):
+            continue
+        path = os.path.join(manifest_dir, name)
+        with open(path) as f:
             doc = json.load(f)
-        out = {k: v for k, v in out.items() if not k.startswith("manifest:")}
+        prefix = f"manifest:{doc.get('name', '?')}/"
+        out = {k: v for k, v in out.items() if not k.startswith(prefix)}
         for stage in doc.get("stages", []):
-            key = f"manifest:{doc.get('name', '?')}/{stage['path']}"
-            out[key] = stage["total_ns"]
+            out[prefix + stage["path"]] = stage["total_ns"]
         # Peak RSS rides along with the stage times (crates/repro/harness
         # stamps vm_hwm_kib into every manifest on Linux) so memory
         # regressions in the zero-copy path show up next to time ones.
         if "vm_hwm_kib" in doc:
-            out[f"manifest:{doc.get('name', '?')}/vm_hwm_kib"] = doc["vm_hwm_kib"]
-        print(f"folded {len(doc.get('stages', []))} stages from {newest}")
+            out[prefix + "vm_hwm_kib"] = doc["vm_hwm_kib"]
+        print(f"folded {len(doc.get('stages', []))} stages from {path}")
 
 with open("BENCH_analysis.json", "w") as f:
     json.dump(dict(sorted(out.items())), f, indent=2)
